@@ -6,8 +6,7 @@
 //	go run ./cmd/bench -baseline BENCH_1.json -quick
 //
 // Figure output is one aligned table per figure with the same series
-// and x-axis the paper plots; EXPERIMENTS.md records a captured run
-// and the shape comparison against the paper. The -baseline mode runs
+// and x-axis the paper plots. The -baseline mode runs
 // the scenario matrix behind BENCH_<n>.json (tps, latency, reexec/tx,
 // allocs/tx, heap-in-use per scenario), validates it (non-zero
 // throughput everywhere — CI's bench smoke gate), and writes the JSON.

@@ -5,8 +5,8 @@
 //
 // Absolute numbers depend on the host (the paper used one AWS
 // c5.9xlarge per replica; this harness colocates every replica in one
-// process), so EXPERIMENTS.md compares shapes: who wins, by what
-// factor, and where curves cross.
+// process), so the figures are compared with the paper by shape: who
+// wins, by what factor, and where curves cross.
 package bench
 
 import (
@@ -76,8 +76,7 @@ func spin() {
 // boundary. The yield matters on small hosts: true multi-core
 // interleaving is what exposes concurrency-control conflicts, and
 // cooperative yields reproduce that interleaving faithfully when
-// replicas are colocated on few cores (see EXPERIMENTS.md, setup
-// notes).
+// replicas are colocated on few cores.
 type yieldState struct{ inner contract.State }
 
 func (y yieldState) Read(k types.Key) (types.Value, error) {

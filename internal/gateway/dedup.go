@@ -75,11 +75,15 @@ type Dedup struct {
 	clients map[uint64]*nonceWindow
 
 	// legacy digest ring: ring[(start+i) % cap] for i in [0, n) walks
-	// oldest → newest.
+	// oldest → newest. ringSeq counts insertions and ringSet maps each
+	// held digest to its insertion number, so the ring holds exactly
+	// the digests numbered above ringSeq−legacyCap — which is how a
+	// DedupView sees the evictions its pending marks would cause.
 	ring      []types.Digest
 	ringStart int
 	ringN     int
-	ringSet   map[types.Digest]struct{}
+	ringSeq   uint64
+	ringSet   map[types.Digest]uint64
 }
 
 type nonceWindow struct {
@@ -118,7 +122,7 @@ func NewDedup(window, legacyCap int) *Dedup {
 		legacyCap: legacyCap,
 		clients:   make(map[uint64]*nonceWindow),
 		ring:      make([]types.Digest, 0, min(legacyCap, 4096)),
-		ringSet:   make(map[types.Digest]struct{}),
+		ringSet:   make(map[types.Digest]uint64),
 	}
 }
 
@@ -215,7 +219,8 @@ func (d *Dedup) markLegacy(id types.Digest) {
 		d.ring[d.ringStart] = id
 		d.ringStart = (d.ringStart + 1) % d.legacyCap
 	}
-	d.ringSet[id] = struct{}{}
+	d.ringSeq++
+	d.ringSet[id] = d.ringSeq
 }
 
 func (w *nonceWindow) getBit(n, window uint64) bool {
@@ -231,6 +236,12 @@ func (w *nonceWindow) setBit(n, window uint64) {
 func (w *nonceWindow) clearBit(n, window uint64) {
 	p := n % window
 	w.bits[p/64] &^= 1 << (p % 64)
+}
+
+// resolved reports whether nonce n is at or below the floor or has
+// its bit set inside the window.
+func (w *nonceWindow) resolved(n, window uint64) bool {
+	return n <= w.floor || (n <= w.floor+window && w.getBit(n, window))
 }
 
 func (w *nonceWindow) mark(n, window uint64) {
@@ -259,6 +270,97 @@ func (w *nonceWindow) mark(n, window uint64) {
 		w.clearBit(w.floor+1, window)
 		w.floor++
 	}
+}
+
+// DedupView answers Resolved as its Dedup would after a run of further
+// marks, without changing the Dedup: the dedup a commit wave executes
+// under, where each block sees the marks of the blocks before it (and
+// a speculated wave those of the waves predicted ahead of it) before
+// any of them commits. A marked client's window is copied on its
+// first mark and then marked with the Dedup's own nonceWindow.mark, so
+// forced floors land exactly where Mark would put them; pending
+// legacy marks carry the ring numbers Mark would give them, so the
+// evictions they would cause are seen too. A view answers for the
+// Dedup state it was last Reset against; it is owned by the same
+// goroutine as its Dedup.
+type DedupView struct {
+	d       *Dedup
+	clients map[uint64]*nonceWindow // copy-on-write windows of marked clients
+	free    []*nonceWindow          // windows released by Reset, reused by copies
+	legacy  map[types.Digest]uint64 // pending legacy marks → ring numbers
+	added   uint64                  // pending legacy insertions
+}
+
+// NewView returns a view over d with no pending marks.
+func (d *Dedup) NewView() *DedupView {
+	return &DedupView{
+		d:       d,
+		clients: make(map[uint64]*nonceWindow),
+		legacy:  make(map[types.Digest]uint64),
+	}
+}
+
+// Reset drops every pending mark: the view again answers exactly as
+// the Dedup does now.
+func (v *DedupView) Reset() {
+	for c, w := range v.clients {
+		v.free = append(v.free, w)
+		delete(v.clients, c)
+	}
+	clear(v.legacy)
+	v.added = 0
+}
+
+// Resolved reports whether tx would be resolved after the view's
+// pending marks.
+func (v *DedupView) Resolved(tx *types.Transaction) bool {
+	if !Sessioned(tx) {
+		return v.legacyResolved(tx.ID())
+	}
+	if w := v.clients[tx.Client]; w != nil {
+		return w.resolved(tx.Nonce, v.d.window)
+	}
+	return v.d.Resolved(tx)
+}
+
+// Mark adds a pending mark for tx, with Dedup.Mark's semantics.
+func (v *DedupView) Mark(tx *types.Transaction) {
+	if !Sessioned(tx) {
+		if id := tx.ID(); !v.legacyResolved(id) {
+			v.added++
+			v.legacy[id] = v.d.ringSeq + v.added
+		}
+		return
+	}
+	w := v.clients[tx.Client]
+	if w == nil {
+		if k := len(v.free); k > 0 {
+			w = v.free[k-1]
+			v.free = v.free[:k-1]
+		} else {
+			w = &nonceWindow{bits: make([]uint64, v.d.window/64)}
+		}
+		if base := v.d.clients[tx.Client]; base != nil {
+			w.floor = base.floor
+			copy(w.bits, base.bits)
+		} else {
+			w.floor = 0
+			clear(w.bits)
+		}
+		v.clients[tx.Client] = w
+	}
+	w.mark(tx.Nonce, v.d.window)
+}
+
+// legacyResolved reports whether digest id would still be held by the
+// ring after the pending insertions: the ring keeps the last
+// legacyCap insertions.
+func (v *DedupView) legacyResolved(id types.Digest) bool {
+	n, ok := v.legacy[id]
+	if !ok {
+		n, ok = v.d.ringSet[id]
+	}
+	return ok && n+uint64(v.d.legacyCap) > v.d.ringSeq+v.added
 }
 
 // ExpireIdle runs one idle-session sweep: a session showing no sign
@@ -345,7 +447,7 @@ func (d *Dedup) Restore(sessions []types.ClientSession, legacy []types.Digest) {
 	d.ring = d.ring[:0]
 	d.ringStart = 0
 	d.ringN = 0
-	d.ringSet = make(map[types.Digest]struct{}, len(legacy))
+	d.ringSet = make(map[types.Digest]uint64, len(legacy))
 	for _, id := range legacy {
 		d.markLegacy(id)
 	}
@@ -418,7 +520,7 @@ func (d *Dedup) DecodeState(dec *types.Decoder) error {
 	d.clients = clients
 	d.ring = d.ring[:0]
 	d.ringStart, d.ringN = 0, 0
-	d.ringSet = make(map[types.Digest]struct{}, len(legacy))
+	d.ringSet = make(map[types.Digest]uint64, len(legacy))
 	for _, id := range legacy {
 		d.markLegacy(id)
 	}

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"thunderbolt/internal/types"
@@ -331,5 +332,72 @@ func TestDedupExpireIdleSparesActiveHoledSession(t *testing.T) {
 	dropped := d.ExpireIdle(2)
 	if len(dropped) != 1 || dropped[0] != 1 {
 		t.Fatalf("quiet holed session not expired: dropped %v", dropped)
+	}
+}
+
+// TestDedupViewMatchesMark drives a view and a real copy of the same
+// Dedup through one random mark sequence — in-window and forced-floor
+// nonces, repeats, and legacy digests enough to wrap a small ring —
+// and demands identical Resolved answers on every probe after every
+// mark, that the viewed Dedup never changes, and that Reset returns
+// the view to the Dedup's own answers.
+func TestDedupViewMatchesMark(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := NewDedup(64, 8)
+	for n := uint64(1); n <= 40; n++ {
+		base.Mark(stx(1, n*2))
+	}
+	for i := 0; i < 6; i++ {
+		base.Mark(ltx(fmt.Sprintf("l%d", i)))
+	}
+	state := func(d *Dedup) string {
+		e := types.NewEncoder()
+		d.EncodeState(e)
+		return string(e.Sum())
+	}
+	before := state(base)
+	randTx := func() *types.Transaction {
+		if rng.Intn(4) == 0 {
+			return ltx(fmt.Sprintf("l%d", rng.Intn(20)))
+		}
+		// Mostly near the floor, sometimes more than a window above it.
+		return stx(uint64(1+rng.Intn(3)), uint64(1+rng.Intn(260)))
+	}
+	probes := make([]*types.Transaction, 0, 400)
+	for c := uint64(1); c <= 3; c++ {
+		for n := uint64(1); n <= 300; n += 3 {
+			probes = append(probes, stx(c, n))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		probes = append(probes, ltx(fmt.Sprintf("l%d", i)))
+	}
+
+	v := base.NewView()
+	for round := 0; round < 3; round++ {
+		ref := NewDedup(64, 8)
+		if err := ref.DecodeState(types.NewDecoder([]byte(before))); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 200; step++ {
+			tx := randTx()
+			v.Mark(tx)
+			ref.Mark(tx)
+			for _, p := range probes {
+				if got, want := v.Resolved(p), ref.Resolved(p); got != want {
+					t.Fatalf("round %d step %d: view says %v, Dedup after the same marks says %v for client %d nonce %d",
+						round, step, got, want, p.Client, p.Nonce)
+				}
+			}
+		}
+		if state(base) != before {
+			t.Fatal("marking a view changed its Dedup")
+		}
+		v.Reset()
+		for _, p := range probes {
+			if v.Resolved(p) != base.Resolved(p) {
+				t.Fatalf("after Reset the view disagrees with its Dedup for client %d nonce %d", p.Client, p.Nonce)
+			}
+		}
 	}
 }

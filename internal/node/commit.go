@@ -36,15 +36,24 @@ func (n *Node) processCommits() {
 // semantics). Between waves the inbox is re-drained — messages that
 // arrived during a long execution are handled (and may append further
 // waves) before the next wave runs.
+//
+// Every wave outside ModeSerial executes through one wave function,
+// runWave, and commits through one install, installWave. A wave that
+// was predicted, executed ahead of commit, and still holds installs
+// the precomputed outcome (trySpecInstall); any other wave runs the
+// same function on the committed view and installs it at once.
 func (n *Node) drainExec() {
 	for i := 0; i < len(n.execQ); i++ {
 		it := n.execQ[i]
 		n.execQ[i] = execItem{} // release the vertex references
-		// Speculation fast path: if this wave was predicted, executed
-		// ahead of commit, and the prediction held, install the
-		// precomputed results instead of executing on the critical path.
-		if !n.trySpecInstall(it.wave, it.committedAt) {
-			n.executeWave(it.wave, it.committedAt)
+		// The wave's commit stamp, read before any execution.
+		now := time.Now()
+		switch {
+		case n.cfg.Mode == ModeSerial:
+			n.installWave(it.wave, &waveResult{}, it.committedAt, now)
+		case !n.trySpecInstall(it.wave, it.committedAt, now):
+			res := n.runCommitted(it.wave)
+			n.installWave(it.wave, &res, it.committedAt, now)
 		}
 		if len(n.committedShift) >= crypto.QuorumSize(n.n) {
 			n.reconfigure()
@@ -67,24 +76,201 @@ func (n *Node) drainExec() {
 	n.nm.execQueueDepth.Set(0)
 }
 
-// executeWave applies one commit wave: validated single-shard preplay
-// results first (rules G1/P2), then consensus-ordered cross-shard
-// transactions (OE model), all deterministically.
-func (n *Node) executeWave(w tusk.CommitWave, committedAt time.Time) {
-	now := time.Now()
+// waveResult is one wave's outcome as runWave computes it: everything
+// installWave needs to commit the wave without executing it again.
+type waveResult struct {
+	blocks []waveBlock
+	cross  []waveCross
+	// txs counts the transactions executed — the unit of wasted work
+	// a speculation rollback reports.
+	txs int
+}
+
+// waveBlock is the outcome of one single-shard block: validated with
+// its write delta, or discarded (stale or invalid) as a whole.
+type waveBlock struct {
+	b      *types.Block
+	ok     bool
+	writes []types.RWRecord
+}
+
+// waveCross is the outcome of one cross-shard transaction in
+// consensus order.
+type waveCross struct {
+	tx       *types.Transaction
+	round    types.Round
+	proposer types.ReplicaID
+	failed   bool // deterministic execution failure
+	writes   []types.RWRecord
+}
+
+// runWave executes one commit wave and returns its outcome, writing
+// nothing outside its arguments: validated single-shard preplay
+// results first (rules G1/P2), then the consensus-ordered cross-shard
+// transactions (OE model). It reads state through read, hands every
+// write it produces to fold (so later blocks of the wave read earlier
+// blocks' writes), and resolves transaction identities against dv,
+// marking there each identity the wave resolves in the order the
+// install marks it. Speculation runs it on the speculative overlay
+// with a view that includes the waves predicted ahead; cold execution
+// and SpecVerify run it on the committed view (runCommitted). Both
+// install the same outcome for the same inputs, so a replica that hit
+// and one that missed speculation end in identical state.
+func (n *Node) runWave(w tusk.CommitWave, dv *gateway.DedupView, read validate.BaseReader, fold func(types.Key, types.Value)) waveResult {
+	var res waveResult
+	var crossTxs []waveCross
+	for _, v := range w.Vertices {
+		b := v.Block
+		if b.Kind == types.ShiftBlock || b.Kind == types.SkipBlock {
+			continue // no execution; installWave does the Shift bookkeeping
+		}
+		// The block must carry only unresolved transactions of its own
+		// shard; otherwise it is stale (a resubmission raced a
+		// reconfiguration) or Byzantine, and is discarded wholesale
+		// (§4), as is a block whose preplay results fail validation.
+		if len(b.SingleTxs) > 0 {
+			wb := waveBlock{b: b}
+			if !blockStale(b, dv) {
+				res.txs += len(b.SingleTxs)
+				if r, err := validate.ValidateBatch(n.cfg.Registry, read, b.SingleTxs, b.Results, n.cfg.Validators); err == nil {
+					wb.ok = true
+					wb.writes = r.Writes
+					for _, wr := range r.Writes {
+						fold(wr.Key, wr.Value)
+					}
+					for _, tx := range b.SingleTxs {
+						dv.Mark(tx)
+					}
+				}
+			}
+			res.blocks = append(res.blocks, wb)
+		}
+		for _, tx := range b.CrossTxs {
+			crossTxs = append(crossTxs, waveCross{tx: tx, round: b.Round, proposer: b.Proposer})
+		}
+	}
+	// Cross-shard transactions run after every single-shard block of
+	// the wave (rule G1), in consensus order, parallelized over
+	// disjoint shard sets (§5.2). Each one resolves, committed or
+	// failed, so filtering in that order drops copies a block of this
+	// wave committed (a promoted copy collected from an early vertex),
+	// copies included by more than one block (client retransmission to
+	// a rotated proposer), and identities resolved before the wave.
+	live := crossTxs[:0]
+	for _, c := range crossTxs {
+		if !dv.Resolved(c.tx) {
+			dv.Mark(c.tx)
+			live = append(live, c)
+		}
+	}
+	if len(live) > 0 {
+		txs := make([]*types.Transaction, len(live))
+		for i := range live {
+			txs[i] = live[i].tx
+		}
+		outs := validate.ExecuteCrossOrdered(n.cfg.Registry, read, txs, n.cfg.Validators)
+		for i, out := range outs {
+			if out.Err != nil {
+				live[i].failed = true
+				continue
+			}
+			live[i].writes = out.Writes
+			for _, wr := range out.Writes {
+				fold(wr.Key, wr.Value)
+			}
+		}
+		res.cross = live
+		res.txs += len(live)
+	}
+	return res
+}
+
+// blockStale reports whether a single-shard block must be discarded
+// before validation: a foreign-shard transaction smuggled in, an
+// identity already resolved in dv, or one transaction included twice.
+func blockStale(b *types.Block, dv *gateway.DedupView) bool {
+	inBlock := make(map[types.Digest]bool, len(b.SingleTxs))
+	for _, tx := range b.SingleTxs {
+		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard {
+			return true
+		}
+		id := tx.ID()
+		if dv.Resolved(tx) || inBlock[id] {
+			return true
+		}
+		inBlock[id] = true
+	}
+	return false
+}
+
+// runCommitted runs the wave function on the committed view: the
+// store plus a wave-local shadow of the wave's own writes, under the
+// live dedup.
+func (n *Node) runCommitted(w tusk.CommitWave) waveResult {
+	clear(n.shadow)
+	n.waveDedup.Reset()
+	return n.runWave(w, n.waveDedup, n.shadowReader, n.shadowFold)
+}
+
+// shadowRead reads the committed view: the running wave's own writes
+// first, then the store.
+func (n *Node) shadowRead(k types.Key) types.Value {
+	if v, ok := n.shadow[k]; ok {
+		return v
+	}
+	return n.baseRead(k)
+}
+
+func (n *Node) shadowWrite(k types.Key, v types.Value) { n.shadow[k] = v }
+
+// baseRead reads committed state.
+func (n *Node) baseRead(k types.Key) types.Value {
+	v, _ := n.cfg.Store.Get(k)
+	return v
+}
+
+// markOrder replays a wave outcome's dedup marks into dv in the order
+// installWave makes them — validated blocks in wave order, then
+// committed cross-shard transactions, then failed ones — and reports
+// whether every identity was still unresolved when reached, as it was
+// when the wave ran.
+func (r *waveResult) markOrder(dv *gateway.DedupView) (fresh bool) {
+	fresh = true
+	for i := range r.blocks {
+		wb := &r.blocks[i]
+		if !wb.ok {
+			continue
+		}
+		for _, tx := range wb.b.SingleTxs {
+			fresh = fresh && !dv.Resolved(tx)
+		}
+		for _, tx := range wb.b.SingleTxs {
+			dv.Mark(tx)
+		}
+	}
+	for _, failed := range []bool{false, true} {
+		for i := range r.cross {
+			if c := &r.cross[i]; c.failed == failed {
+				fresh = fresh && !dv.Resolved(c.tx)
+				dv.Mark(c.tx)
+			}
+		}
+	}
+	return fresh
+}
+
+// installWave commits one wave's outcome: one coalesced store apply
+// for the wave's write sets, then the bookkeeping (dedup marks,
+// commit log, acks, block feedback, metrics) in commit order, stamped
+// now. Coalescing is sound because the per-key last write of the wave
+// is what applying block by block would leave in the store, and the
+// merged WAL note carries the same resolved identities in the order
+// they are marked here. In ModeSerial res is empty and each normal
+// block executes serially as the wave is walked (the Tusk baseline).
+// Returns the number of coalesced store writes.
+func (n *Node) installWave(w tusk.CommitWave, res *waveResult, committedAt, now time.Time) int {
 	// a = vertices in the wave.
 	n.trace(metrics.EvCommit, w.Leader.Round(), uint64(len(w.Vertices)), 0)
-	type crossItem struct {
-		tx       *types.Transaction
-		round    types.Round
-		proposer types.ReplicaID
-	}
-	var crossTxs []crossItem
-	// inWave dedups cross-shard transactions included by more than one
-	// block of this wave (client retransmission to a rotated proposer,
-	// or a fast-forward re-proposal racing the abandoned block): the
-	// applied filter below only catches duplicates across waves.
-	inWave := make(map[types.Digest]bool)
 	n.commitCtx = CommitEntry{Epoch: n.epoch, Wave: w.Leader.Round()}
 	for _, v := range w.Vertices {
 		b := v.Block
@@ -96,170 +282,139 @@ func (n *Node) executeWave(w tusk.CommitWave, committedAt time.Time) {
 			n.nm.stageProposeCertify.Observe(b.Stamps.Certified.Sub(b.Stamps.Seen))
 			n.nm.stageCertifyCommit.Observe(committedAt.Sub(b.Stamps.Certified))
 		}
-		switch b.Kind {
-		case types.ShiftBlock:
+		switch {
+		case b.Kind == types.ShiftBlock:
 			n.committedShift[b.Proposer] = true
-			continue
-		case types.SkipBlock:
-			continue
-		}
-		if n.cfg.Mode == ModeSerial {
+		case b.Kind != types.SkipBlock && n.cfg.Mode == ModeSerial:
 			n.executeSerial(b, now)
+		}
+	}
+
+	// One apply for the whole wave: last writer per key, keys in first
+	// appearance order, with a single merged note.
+	note := n.newMarkNote()
+	var order []types.Key
+	merged := make(map[types.Key]types.Value)
+	addWrites := func(ws []types.RWRecord) {
+		for _, wr := range ws {
+			if _, ok := merged[wr.Key]; !ok {
+				order = append(order, wr.Key)
+			}
+			merged[wr.Key] = wr.Value
+		}
+	}
+	for i := range res.blocks {
+		wb := &res.blocks[i]
+		if !wb.ok {
 			continue
 		}
-		// Single-shard preplay results: validate in parallel against
-		// the declared read/write sets, then apply (paper §4). The
-		// block must carry only its own shard's transactions; anything
-		// else is a Byzantine proposer and the block is discarded.
-		if len(b.SingleTxs) > 0 {
-			if !n.validateAndApply(b, now) {
-				n.nm.validationFailures.Add(1)
-				// A proposer whose own block was discarded (typically a
-				// cross-shard transaction raced its preplay — the hazard
-				// rules P3/P4 bound but cannot fully eliminate under
-				// eager preplay) rolls back its speculative overlay and
-				// requeues the transactions for a fresh preplay.
-				if b.Proposer == n.cfg.ID {
-					n.dropOwnBlock(b.Round)
-					// The overlay rolled back: values the next preplay
-					// should see no longer match the carried tips.
-					n.preplayer.invalidate()
-					for _, tx := range b.SingleTxs {
-						if !n.dedup.Resolved(tx) {
-							n.txQueue = append(n.txQueue, tx)
-						}
+		for _, tx := range wb.b.SingleTxs {
+			note.commit(tx)
+		}
+		addWrites(wb.writes)
+	}
+	for i := range res.cross {
+		c := &res.cross[i]
+		if c.failed {
+			note.fail(c.tx)
+			continue
+		}
+		note.commit(c.tx)
+		addWrites(c.writes)
+	}
+	if len(order) > 0 {
+		writes := make([]types.RWRecord, len(order))
+		for i, k := range order {
+			writes[i] = types.RWRecord{Key: k, Value: merged[k]}
+		}
+		n.applyCommit(writes, note.bytes())
+	} else {
+		n.noteOnly(note.bytes())
+	}
+
+	// Bookkeeping in commit order: blocks in wave order, then cross.
+	for i := range res.blocks {
+		wb := &res.blocks[i]
+		b := wb.b
+		if !wb.ok {
+			n.nm.validationFailures.Add(1)
+			// A proposer whose own block was discarded (typically a
+			// cross-shard transaction raced its preplay — the hazard
+			// rules P3/P4 bound but cannot fully eliminate under eager
+			// preplay) rolls back its speculative overlay and requeues
+			// the transactions for a fresh preplay.
+			if b.Proposer == n.cfg.ID {
+				n.dropOwnBlock(b.Round)
+				n.preplayer.invalidate()
+				for _, tx := range b.SingleTxs {
+					if !n.dedup.Resolved(tx) {
+						n.txQueue = append(n.txQueue, tx)
 					}
 				}
 			}
+			continue
 		}
-		for _, tx := range b.CrossTxs {
-			id := tx.ID()
-			if n.dedup.Resolved(tx) || inWave[id] {
-				// Duplicate inclusion (client retransmission races):
-				// executed once already; make sure it cannot wedge the
-				// preplay-recovery tracker.
-				delete(n.pendingCross, id)
-				continue
-			}
-			inWave[id] = true
-			crossTxs = append(crossTxs, crossItem{tx: tx, round: b.Round, proposer: b.Proposer})
+		n.commitCtx.Round = b.Round
+		n.commitCtx.Proposer = b.Proposer
+		n.commitCtx.Cross = false
+		for _, tx := range b.SingleTxs {
+			n.markCommitted(tx, now)
 		}
-	}
-	// Cross-shard transactions execute after the wave's single-shard
-	// results (rule G1), in consensus order, parallelized over
-	// disjoint shard sets (§5.2); crossTxs is always empty in
-	// ModeSerial (serial blocks short-circuit above). Re-filter
-	// against applied first: a promoted copy collected from an early
-	// vertex may have committed through a single-shard block of a
-	// later vertex in this same wave, and executing it again would
-	// poison the accumulated overlay that downstream cross
-	// transactions read.
-	live := crossTxs[:0]
-	for _, it := range crossTxs {
-		if !n.dedup.Resolved(it.tx) {
-			live = append(live, it)
+		n.nm.committedSingle.Add(uint64(len(b.SingleTxs)))
+		// If this was our own block, its preplay writes are now durable:
+		// shrink the speculative overlay to the remaining pending blocks.
+		// The move from overlay to store is value-identical through the
+		// speculative reader, so the preplayer's carried tips stay valid.
+		// A foreign block's writes, by contrast, change state the carry
+		// never saw.
+		if b.Proposer == n.cfg.ID {
+			n.dropOwnBlock(b.Round)
+			// Adaptive batch feedback: this block's propose→commit
+			// latency against the target. Over-target commits shrink
+			// the batch back toward the floor (see batchController).
+			lat := now.Sub(time.Unix(0, b.ProposedUnixNano))
+			n.batch.ObserveLatency(lat > n.cfg.BatchLatencyTarget)
 		} else {
-			delete(n.pendingCross, it.tx.ID())
+			n.preplayer.invalidate()
 		}
 	}
-	crossTxs = live
-	if len(crossTxs) > 0 {
-		txs := make([]*types.Transaction, len(crossTxs))
-		for i, it := range crossTxs {
-			txs[i] = it.tx
+	for i := range res.cross {
+		c := &res.cross[i]
+		if c.failed {
+			continue
 		}
-		outs := validate.ExecuteCrossOrdered(n.cfg.Registry, n.baseReader, txs, n.cfg.Validators)
-		for i, out := range outs {
-			id := out.Tx.ID()
-			delete(n.pendingCross, id)
-			if out.Err != nil {
-				// Deterministic failure: every replica drops it (a
-				// deterministic mark, so dedup state stays identical;
-				// on a durable backend the mark is journaled so a
-				// restart rebuilds the same dedup evolution).
-				note := n.newMarkNote()
-				note.fail(out.Tx)
-				n.noteOnly(note.bytes())
-				n.dedup.Mark(out.Tx)
-				continue
-			}
-			note := n.newMarkNote()
-			note.commit(out.Tx)
-			n.applyCommit(out.Writes, note.bytes())
-			n.commitCtx.Round = crossTxs[i].round
-			n.commitCtx.Proposer = crossTxs[i].proposer
-			n.commitCtx.Cross = true
-			n.markCommitted(out.Tx, now)
-			n.nm.committedCross.Add(1)
+		n.commitCtx.Round = c.round
+		n.commitCtx.Proposer = c.proposer
+		n.commitCtx.Cross = true
+		n.markCommitted(c.tx, now)
+		n.nm.committedCross.Add(1)
+	}
+	// Deterministic failures resolve too, after the commits — the
+	// order WAL recovery replays the merged note in.
+	for i := range res.cross {
+		if res.cross[i].failed {
+			n.dedup.Mark(res.cross[i].tx)
 		}
+	}
+	if len(res.cross) > 0 {
 		// Cross-shard writes land outside the preplay stream; the next
 		// preplay must re-read through the base.
 		n.preplayer.invalidate()
 	}
-	// The wave's commit→execute leg: queue wait plus this execution.
+	// Every cross-shard copy in the wave is resolved now, executed or
+	// filtered; none may wedge the preplay-recovery tracker.
+	for _, v := range w.Vertices {
+		for _, tx := range v.Block.CrossTxs {
+			delete(n.pendingCross, tx.ID())
+		}
+	}
+	// The wave's commit→execute leg: queue wait plus this execution
+	// (on a speculation hit, only the install).
 	n.nm.stageCommitExecute.Observe(time.Since(committedAt))
 	if n.cfg.OnCommitWave != nil {
 		n.cfg.OnCommitWave(n.epoch, w.Leader.Round(), now)
 	}
-}
-
-// baseRead reads committed state.
-func (n *Node) baseRead(k types.Key) types.Value {
-	v, _ := n.cfg.Store.Get(k)
-	return v
-}
-
-// validateAndApply checks a block's preplay results and applies the
-// delta. Returns false if the block is invalid (it is then discarded
-// wholesale, as in §4).
-func (n *Node) validateAndApply(b *types.Block, now time.Time) bool {
-	inBlock := make(map[types.Digest]bool, len(b.SingleTxs))
-	for _, tx := range b.SingleTxs {
-		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard {
-			return false // foreign-shard transaction smuggled in
-		}
-		id := tx.ID()
-		if n.dedup.Resolved(tx) || inBlock[id] {
-			// Duplicate commit attempt (resubmission raced a
-			// reconfiguration, or a duplicate smuggled into one
-			// block): the whole block is stale.
-			return false
-		}
-		inBlock[id] = true
-	}
-	res, err := validate.ValidateBatch(n.cfg.Registry, n.baseReader, b.SingleTxs, b.Results, n.cfg.Validators)
-	if err != nil {
-		return false
-	}
-	note := n.newMarkNote()
-	for _, tx := range b.SingleTxs {
-		note.commit(tx)
-	}
-	n.applyCommit(res.Writes, note.bytes())
-	n.commitCtx.Round = b.Round
-	n.commitCtx.Proposer = b.Proposer
-	n.commitCtx.Cross = false
-	for _, tx := range b.SingleTxs {
-		n.markCommitted(tx, now)
-	}
-	n.nm.committedSingle.Add(uint64(len(b.SingleTxs)))
-	// If this was our own block, its preplay writes are now durable:
-	// shrink the speculative overlay to the remaining pending blocks.
-	// The move from overlay to store is value-identical through the
-	// speculative reader, so the preplayer's carried tips stay valid.
-	// A foreign block's writes, by contrast, change state the carry
-	// never saw.
-	if b.Proposer == n.cfg.ID {
-		n.dropOwnBlock(b.Round)
-		// Adaptive batch feedback: this block's propose→commit latency
-		// against the target. Over-target commits shrink the batch back
-		// toward the floor (see batchController).
-		lat := now.Sub(time.Unix(0, b.ProposedUnixNano))
-		n.batch.ObserveLatency(lat > n.cfg.BatchLatencyTarget)
-	} else {
-		n.preplayer.invalidate()
-	}
-	return true
+	return len(order)
 }
 
 // executeSerial is the Tusk baseline: run the block's transactions

@@ -190,7 +190,7 @@ type Config struct {
 	// from the anchor chain and executed ahead of the Tusk commit
 	// (spec.go), filling the certify→commit wait with execution work
 	// that a matching commit installs in O(writes). 0 selects the
-	// default (4); negative disables speculation. Ignored in
+	// default (2); negative disables speculation. Ignored in
 	// ModeSerial (serial blocks are executed only at commit).
 	SpecExecDepth int
 	// SpecVerify re-derives every speculative hit cold at install
@@ -504,19 +504,26 @@ type Node struct {
 	// predicted from the anchor chain in predicted commit order,
 	// executed ahead of the Tusk commit during the certify→commit
 	// wait; specOverlay layers their write sets over the committed
-	// tip; specResolved claims the transaction identities pending
-	// spec waves resolved (the dedup view later spec waves execute
-	// under); specVerts claims their vertex digests (the committed
+	// tip; specVerts claims their vertex digests (the committed
 	// filter stacked predictions linearize against). specDepth caps
 	// the queue (Config.SpecExecDepth; 0 = speculation off).
-	specDepth    int
-	specQ        []specWave
-	specOverlay  *ce.SpecOverlay
-	specResolved map[types.Digest]bool
-	specVerts    map[types.Digest]bool
+	specDepth   int
+	specQ       []specWave
+	specOverlay *ce.SpecOverlay
+	specVerts   map[types.Digest]bool
 	// specReader and specClaimFn are bound once like baseReader.
 	specReader  validate.BaseReader
 	specClaimFn func(types.Digest) bool
+
+	// The wave function's scratch (commit.go), reused wave after wave:
+	// waveDedup is the dedup view a running wave resolves identities
+	// in, and shadow holds the running wave's own writes over the
+	// store — the committed view cold execution reads (shadowReader)
+	// and writes (shadowFold), bound once like baseReader.
+	waveDedup    *gateway.DedupView
+	shadow       map[types.Key]types.Value
+	shadowReader validate.BaseReader
+	shadowFold   func(types.Key, types.Value)
 
 	// baseReader is n.baseRead bound once: the commit path passes it to
 	// validation/execution for every wave, and a method-value conversion
@@ -602,7 +609,7 @@ type Node struct {
 	// clog is the ordered commit sequence (see Config.CommitLogCap);
 	// clogStart counts entries dropped from the head. commitCtx holds
 	// the wave/block provenance stamped onto entries (event-loop-owned,
-	// set by executeWave).
+	// set by installWave).
 	clogMu    sync.Mutex
 	clog      []CommitEntry
 	clogStart uint64
@@ -658,11 +665,15 @@ func New(cfg Config) (*Node, error) {
 	n.baseReader = n.baseRead
 	n.specReader = n.specBaseRead
 	n.specClaimFn = n.specVertClaimed
+	n.shadow = make(map[types.Key]types.Value)
+	n.shadowReader = n.shadowRead
+	n.shadowFold = n.shadowWrite
 	if cfg.SpecExecDepth > 0 && cfg.Mode != ModeSerial {
 		n.specDepth = cfg.SpecExecDepth
 	}
 	n.nm = newNodeMetrics(cfg.ID)
 	n.dedup = gateway.NewDedup(cfg.NonceWindow, cfg.LegacyDedupWindow)
+	n.waveDedup = n.dedup.NewView()
 	startEpoch := types.Epoch(0)
 	if rec, ok := cfg.Store.(storage.Recoverable); ok {
 		n.durable = rec

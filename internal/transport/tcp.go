@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -156,8 +157,8 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if n < 5 || n > 64<<20 {
 			return // malformed frame; drop the connection
 		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		frame, err := readFrame(conn, int(n))
+		if err != nil {
 			return
 		}
 		mt := MsgType(frame[0])
@@ -177,6 +178,25 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			h(from, mt, frame[5:])
 		}
 	}
+}
+
+// readFrame reads the n-byte frame body that follows a header. The
+// header is unauthenticated, so the buffer starts at no more than
+// 64 KiB and grows only as payload bytes arrive: a peer must send the
+// bytes it claims before the reader holds memory for them.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < n {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // conn returns (dialing if necessary) the outbound connection to a

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,21 +355,74 @@ func TestTCPLargeFrame(t *testing.T) {
 	defer b.Close()
 	a.cfg.Peers = map[types.ReplicaID]string{1: b.Addr()}
 
-	got := make(chan int, 1)
+	got := make(chan []byte, 1)
 	b.SetHandler(func(from types.ReplicaID, mt MsgType, payload []byte) {
-		got <- len(payload)
+		got <- payload
 	})
+	// Larger than the reader's first buffer, so the body arrives
+	// through its growth path; the pattern catches misplaced bytes.
 	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
 	if err := a.Send(1, 1, payload); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case n := <-got:
-		if n != 1<<20 {
-			t.Fatalf("payload truncated: %d", n)
+	case p := <-got:
+		if !bytes.Equal(p, payload) {
+			t.Fatalf("payload corrupted or truncated: %d bytes", len(p))
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("large frame not delivered")
+	}
+}
+
+// TestTCPHeaderClaimAllocatesNothing opens a raw connection, sends
+// only a frame header claiming the 64 MiB maximum, and closes. The
+// reader must not size its buffer by the claim: the process allocates
+// under 1 MiB while the connection is handled and dropped.
+func TestTCPHeaderClaimAllocatesNothing(t *testing.T) {
+	a, err := NewTCPTransport(TCPConfig{Self: 0, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	inbound := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.inbound)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 64<<20)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the reader to take the connection and block on the body.
+	deadline := time.Now().Add(5 * time.Second)
+	for inbound() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn.Close()
+	for inbound() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("reader never dropped the closed connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a bare 64 MiB header claim allocated %d bytes", got)
 	}
 }
 

@@ -175,16 +175,20 @@ func (b *Block) unmarshalFrom(data []byte) error {
 	b.Shard = ShardID(d.U32())
 	b.Kind = BlockKind(d.U8())
 	np := d.U32()
-	b.Parents = make([]Digest, 0, min(int(np), 4096))
+	b.Parents = make([]Digest, 0, min(int(np), d.Remaining()/len(Digest{})))
 	for i := uint32(0); i < np && d.Err() == nil; i++ {
 		b.Parents = append(b.Parents, d.Digest())
 	}
 	// Transactions decode into one arena per list and results share one
 	// record arena: a per-transaction box and two per-result record
 	// slices made block decode the receive path's heaviest allocator.
+	// Arena capacities come from the counts, bounded by how many
+	// elements the unread bytes could hold, so a forged count cannot
+	// allocate more than the frame that carried it.
 	ns := d.U32()
-	singles := make([]Transaction, 0, min(int(ns), 4096))
-	argArena := make([][]byte, 0, 3*min(int(ns), 4096))
+	hint := min(int(ns), d.Remaining()/minTxBytes)
+	singles := make([]Transaction, 0, hint)
+	argArena := make([][]byte, 0, 3*hint)
 	for i := uint32(0); i < ns && d.Err() == nil; i++ {
 		var tx Transaction
 		sub := d.sub()
@@ -198,8 +202,9 @@ func (b *Block) unmarshalFrom(data []byte) error {
 		b.SingleTxs[i] = &singles[i]
 	}
 	nr := d.U32()
-	b.Results = make([]TxResult, 0, min(int(nr), 4096))
-	recArena := make([]RWRecord, 0, 4*min(int(nr), 4096))
+	hint = min(int(nr), d.Remaining()/minResultBytes)
+	b.Results = make([]TxResult, 0, hint)
+	recArena := make([]RWRecord, 0, 4*hint)
 	for i := uint32(0); i < nr && d.Err() == nil; i++ {
 		var r TxResult
 		sub := d.sub()
@@ -209,7 +214,7 @@ func (b *Block) unmarshalFrom(data []byte) error {
 		b.Results = append(b.Results, r)
 	}
 	nc := d.U32()
-	crosses := make([]Transaction, 0, min(int(nc), 4096))
+	crosses := make([]Transaction, 0, min(int(nc), d.Remaining()/minTxBytes))
 	for i := uint32(0); i < nc && d.Err() == nil; i++ {
 		var tx Transaction
 		sub := d.sub()
@@ -305,7 +310,7 @@ func (c *Certificate) unmarshalFrom(data []byte) error {
 	c.Round = Round(d.U64())
 	c.Proposer = ReplicaID(d.U32())
 	n := d.U32()
-	c.Sigs = make([]Signature, 0, min(int(n), 4096))
+	c.Sigs = make([]Signature, 0, min(int(n), d.Remaining()/8)) // signer + signature length
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		c.Sigs = append(c.Sigs, Signature{Signer: ReplicaID(d.U32()), Sig: d.Bytes()})
 	}

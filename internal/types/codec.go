@@ -130,6 +130,19 @@ func NewSharedDecoder(b []byte) *Decoder { return &Decoder{buf: b, shared: true}
 // Err returns the first error encountered, or nil.
 func (d *Decoder) Err() error { return d.err }
 
+// Remaining returns the number of unread input bytes. A count read
+// from the input bounds a capacity hint only together with this: n
+// elements of at least k bytes each need n·k bytes still to come.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+
+// Smallest encodings of a length-prefixed transaction and preplay
+// result (every variable-length field empty): the element sizes block
+// decode divides Remaining by.
+const (
+	minTxBytes     = 4 + 8 + 8 + 1 + 1 + 4 + 4 + 4 + 4 + 8
+	minResultBytes = 4 + len(Digest{}) + 4 + 4 + 4 + 4
+)
+
 // Finish returns an error if decoding failed or bytes remain.
 func (d *Decoder) Finish() error {
 	if d.err != nil {
@@ -355,7 +368,7 @@ func decodeRecordsArena(d *Decoder, arena *[]RWRecord) []RWRecord {
 		recs = *arena
 		start = len(recs)
 	} else {
-		recs = make([]RWRecord, 0, min(int(n), 1024))
+		recs = make([]RWRecord, 0, min(int(n), d.Remaining()/8)) // key + value lengths
 	}
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		// Keys come from a small hot set (account cells); interning

@@ -307,3 +307,52 @@ func randString(rng *rand.Rand, n int) string {
 	}
 	return string(b)
 }
+
+// TestDecodeAllocationBoundedByInput feeds block decode the frames
+// whose forged counts used to size allocations: a block header
+// claiming 2³¹ parents (29 bytes) and one claiming 2³¹ single-shard
+// transactions (33 bytes). Decoding must fail, and allocate at most a
+// small constant times the bytes received.
+func TestDecodeAllocationBoundedByInput(t *testing.T) {
+	header := func() *Encoder {
+		e := NewEncoder()
+		e.U64(1) // epoch
+		e.U64(7) // round
+		e.U32(2) // proposer
+		e.U32(2) // shard
+		e.U8(1)  // kind
+		return e
+	}
+	parents := header()
+	parents.U32(1 << 31)
+	singles := header()
+	singles.U32(0)
+	singles.U32(1 << 31)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		size  int
+	}{
+		{"parents", parents.Sum(), 29},
+		{"single-shard txs", singles.Sum(), 33},
+	} {
+		if len(tc.frame) != tc.size {
+			t.Fatalf("%s frame is %d bytes, want %d", tc.name, len(tc.frame), tc.size)
+		}
+		var b Block
+		if err := b.UnmarshalBinary(tc.frame); err == nil {
+			t.Fatalf("%s frame decoded without error", tc.name)
+		}
+		res := testing.Benchmark(func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				var b Block
+				_ = b.UnmarshalBinary(tc.frame)
+			}
+		})
+		t.Logf("%s frame: %d bytes allocated per decode", tc.name, res.AllocedBytesPerOp())
+		if got, limit := res.AllocedBytesPerOp(), int64(8*len(tc.frame)); got > limit {
+			t.Errorf("%s frame (%d bytes) allocates %d bytes per decode, limit %d", tc.name, len(tc.frame), got, limit)
+		}
+	}
+}

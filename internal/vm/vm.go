@@ -99,7 +99,7 @@ func (p *Program) MarshalBinary() ([]byte, error) {
 func (p *Program) UnmarshalBinary(b []byte) error {
 	d := types.NewDecoder(b)
 	n := d.U32()
-	p.Consts = make([][]byte, 0, min(int(n), 4096))
+	p.Consts = make([][]byte, 0, min(int(n), d.Remaining()/4)) // length prefix each
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		p.Consts = append(p.Consts, d.Bytes())
 	}
